@@ -22,6 +22,10 @@ let tests () =
   let moves_config = Tupelo.Moves.default Tupelo.Goal.Superset in
   let synthetic8 = Workloads.Synthetic.matching_pair 8 in
   let inventory3 = Workloads.Inventory.task 3 in
+  let inventory4 = Workloads.Inventory.task 4 in
+  let inventory4_str db = Heuristics.Profile.(str (of_database db)) in
+  let inventory4_source = inventory4_str inventory4.Workloads.Inventory.source in
+  let inventory4_target = inventory4_str inventory4.Workloads.Inventory.target in
   [
     Test.make ~name:"relation: promote Route/Cost"
       (Staged.stage (fun () ->
@@ -40,6 +44,9 @@ let tests () =
            Heuristics.Text.levenshtein
              (Heuristics.Profile.str profile_b)
              (Heuristics.Profile.str profile_a)));
+    Test.make ~name:"heuristics: levenshtein on string(d) (E3 inventory k=4)"
+      (Staged.stage (fun () ->
+           Heuristics.Text.levenshtein inventory4_source inventory4_target));
     Test.make ~name:"heuristics: cosine distance"
       (Staged.stage (fun () ->
            Heuristics.Vector.cosine_distance

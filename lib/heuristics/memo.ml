@@ -6,7 +6,9 @@ type ('k, 'v) tables = {
 
 type ('k, 'v) t = {
   half : int;  (* generation size: total residency is bounded by 2 * half *)
-  slot : ('k, 'v) tables Domain.DLS.key;
+  domains : (int * ('k, 'v) tables) list Atomic.t;
+      (* one entry per domain that has used this memo, keyed by domain id;
+         only the owning domain ever touches an entry's tables *)
   telemetry : Telemetry.t;
 }
 
@@ -14,20 +16,40 @@ let default_cap = 200_000
 
 let create ?(telemetry = Telemetry.disabled) ?(cap = default_cap) () =
   if cap < 2 then invalid_arg "Memo.create: cap must be >= 2";
-  let half = cap / 2 in
-  {
-    half;
-    slot =
-      Domain.DLS.new_key (fun () ->
-          {
-            current = Hashtbl.create 1024;
-            previous = Hashtbl.create 0;
-            evictions = 0;
-          });
-    telemetry;
-  }
+  { half = cap / 2; domains = Atomic.make []; telemetry }
 
-let tables t = Domain.DLS.get t.slot
+let self () = (Domain.self () :> int)
+
+let find_own t =
+  let id = self () in
+  let rec go = function
+    | (d, tb) :: rest -> if Int.equal d id then Some tb else go rest
+    | [] -> None
+  in
+  go (Atomic.get t.domains)
+
+(* The calling domain's tables, registered on first use. Only this domain
+   prepends its own id, so a failed CAS means another domain registered
+   and a retry cannot find our id already there. *)
+let tables t =
+  match find_own t with
+  | Some tb -> tb
+  | None ->
+      let tb =
+        {
+          current = Hashtbl.create 1024;
+          previous = Hashtbl.create 0;
+          evictions = 0;
+        }
+      in
+      let id = self () in
+      let rec register () =
+        let seen = Atomic.get t.domains in
+        if not (Atomic.compare_and_set t.domains seen ((id, tb) :: seen)) then
+          register ()
+      in
+      register ();
+      tb
 
 let find_or_add t key compute =
   let tb = tables t in
@@ -62,7 +84,9 @@ let find_or_add t key compute =
       v
 
 let size t =
-  let tb = tables t in
-  Hashtbl.length tb.current + Hashtbl.length tb.previous
+  match find_own t with
+  | Some tb -> Hashtbl.length tb.current + Hashtbl.length tb.previous
+  | None -> 0
 
-let evictions t = (tables t).evictions
+let evictions t =
+  match find_own t with Some tb -> tb.evictions | None -> 0

@@ -13,10 +13,16 @@
 
     - {b Domain safety.} The parallel engine ({!Search.Pool},
       {!Search.Portfolio}) evaluates heuristics on several domains at
-      once. Each domain gets its own table via [Domain.DLS] —
-      shared-nothing, so no locks on the hot path; a value may be
-      computed once per domain, which is redundant work but never a
-      race. *)
+      once. Each domain gets its own tables, registered in the memo on
+      the domain's first lookup (one compare-and-set) and touched by no
+      other domain after — shared-nothing, so no locks on the hot path; a
+      value may be computed once per domain, which is redundant work but
+      never a race.
+
+    - {b Ownership.} The memo owns every domain's tables and there is no
+      global state: once the memo is unreachable, all of its cached
+      values are garbage, so a long-lived process does not keep one table
+      per finished discovery. *)
 
 type ('k, 'v) t
 (** Keys are hashed and compared with the polymorphic [Hashtbl] primitives;
@@ -38,8 +44,10 @@ val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
     (it is never resident in both). *)
 
 val size : ('k, 'v) t -> int
-(** Number of entries resident in the calling domain's table. *)
+(** Number of entries resident in the calling domain's table (0 if the
+    domain has not used this memo). *)
 
 val evictions : ('k, 'v) t -> int
 (** Number of generation flips performed in the calling domain's table
-    (each flip drops at most [cap / 2] cold entries). *)
+    (each flip drops at most [cap / 2] cold entries; 0 if the domain has
+    not used this memo). *)

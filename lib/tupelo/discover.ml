@@ -336,11 +336,12 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
   (* IDA* and RBFS re-visit states across iterations/backtracks; heuristic
      values depend only on the state, so memoize them by fingerprint.
      This does not affect the states-examined counts — only wall clock —
-     and matters most for the Levenshtein heuristic, whose edit-distance
-     computation is quadratic in the instance size. The blind heuristic
-     skips profile construction altogether. The cache is bounded and
-     per-domain (see {!Heuristics.Memo}), so parallel frontier expansion
-     and portfolio racing can score states on any domain. *)
+     and matters most for the Levenshtein heuristic, whose bit-parallel
+     edit distance still costs O(|string(d)|²/63) per state. The blind
+     heuristic skips profile construction altogether. The cache is
+     bounded and per-domain (see {!Heuristics.Memo}), so parallel
+     frontier expansion and portfolio racing can score states on any
+     domain. *)
   let estimate_for tel (heuristic : Heuristics.Heuristic.t) =
     if heuristic.Heuristics.Heuristic.name = "h0" then fun _ -> 0
     else begin

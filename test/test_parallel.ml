@@ -383,6 +383,61 @@ let test_memo_domain_local () =
   Alcotest.(check int) "fresh table in a fresh domain" 0 other_domain_size;
   Alcotest.(check int) "caller's table intact" 1 (Heuristics.Memo.size memo)
 
+(* Every domain, the caller included, fills its own table at once; each
+   computes each key exactly once and sees only its own entries. *)
+let test_memo_concurrent_domains () =
+  let memo : (string, int) Heuristics.Memo.t = Heuristics.Memo.create ~cap:100 () in
+  let fill () =
+    let computes = ref 0 in
+    for _ = 1 to 3 do
+      for i = 1 to 40 do
+        ignore
+          (Heuristics.Memo.find_or_add memo (string_of_int i) (fun key ->
+               incr computes;
+               String.length key))
+      done
+    done;
+    (!computes, Heuristics.Memo.size memo)
+  in
+  let others = List.init test_jobs (fun _ -> Domain.spawn fill) in
+  let own = fill () in
+  List.iter
+    (fun (computes, size) ->
+      Alcotest.(check int) "each key computed once per domain" 40 computes;
+      Alcotest.(check int) "own table only" 40 size)
+    (own :: List.map Domain.join others)
+
+(* A memo owns its tables: once it is unreachable, so is every value it
+   cached, on every domain that used it. (Regression: each memo used to
+   take a [Domain.DLS] key, which is never released, so a process kept
+   one table per finished discovery.) *)
+let test_memo_dropped_frees_values () =
+  let weak = Weak.create 2 in
+  let[@inline never] use_and_drop () =
+    let memo : (int, int ref) Heuristics.Memo.t =
+      Heuristics.Memo.create ~cap:100 ()
+    in
+    let cache slot () =
+      let v = Heuristics.Memo.find_or_add memo slot (fun k -> ref k) in
+      Weak.set weak slot (Some v)
+    in
+    cache 0 ();
+    Domain.join (Domain.spawn (cache 1))
+  in
+  use_and_drop ();
+  (* A joined domain may still be leaving the runtime, its last frames
+     holding the closure for a moment; give it a few major cycles. *)
+  let rec collect tries =
+    Gc.full_major ();
+    if tries > 0 && (Weak.check weak 0 || Weak.check weak 1) then begin
+      Unix.sleepf 0.01;
+      collect (tries - 1)
+    end
+  in
+  collect 100;
+  Alcotest.(check bool) "caller's value freed" false (Weak.check weak 0);
+  Alcotest.(check bool) "other domain's value freed" false (Weak.check weak 1)
+
 let suite =
   [
     Alcotest.test_case "pool: map matches sequential" `Quick
@@ -423,4 +478,8 @@ let suite =
       test_memo_promote_moves_entry;
     Alcotest.test_case "memo: domain-local tables" `Quick
       test_memo_domain_local;
+    Alcotest.test_case "memo: concurrent domains own their tables" `Quick
+      test_memo_concurrent_domains;
+    Alcotest.test_case "memo: dropped memo frees its values" `Quick
+      test_memo_dropped_frees_values;
   ]

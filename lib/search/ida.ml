@@ -2,6 +2,7 @@ let infinity_cost = max_int
 
 module Make (S : Space.S) = struct
   module KT = Hashtbl.Make (S.Key)
+  module Expansions = Space.Expansion_cache (S)
 
   exception Budget
   exception Stopped
@@ -25,6 +26,7 @@ module Make (S : Space.S) = struct
     in
     (* Keys of states on the current DFS path, for cycle avoidance. *)
     let on_path : unit KT.t = KT.create 64 in
+    let expansions = Expansions.create () in
     let rec dfs state path_rev g bound =
       let f = g + heuristic state in
       if f > bound then Cutoff f
@@ -35,9 +37,9 @@ module Make (S : Space.S) = struct
         observe state path_rev g;
         if S.is_goal state then Hit ([], state)
         else begin
-          let succs = S.successors state in
-          Space.record_expansion telemetry c ~generated:(List.length succs);
           let key = S.key state in
+          let succs = Expansions.successors telemetry expansions key state in
+          Space.record_expansion telemetry c ~generated:(List.length succs);
           KT.add on_path key ();
           let best_cutoff = ref infinity_cost in
           let rec try_succs = function

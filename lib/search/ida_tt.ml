@@ -2,6 +2,7 @@ let infinity_cost = max_int
 
 module Make (S : Space.S) = struct
   module KT = Hashtbl.Make (S.Key)
+  module Expansions = Space.Expansion_cache (S)
 
   exception Budget
   exception Stopped
@@ -23,6 +24,7 @@ module Make (S : Space.S) = struct
           f { Space.w_state = state; w_path_rev = path_rev; w_cost = g }
     in
     let on_path : unit KT.t = KT.create 64 in
+    let expansions = Expansions.create () in
     (* improved (backed-up) heuristic values, persisted across iterations *)
     let improved : int KT.t = KT.create 4096 in
     let h_eff key state =
@@ -45,7 +47,7 @@ module Make (S : Space.S) = struct
         observe state path_rev g;
         if S.is_goal state then Hit ([], state)
         else begin
-          let succs = S.successors state in
+          let succs = Expansions.successors telemetry expansions key state in
           Space.record_expansion telemetry c ~generated:(List.length succs);
           KT.add on_path key ();
           let best_cutoff = ref infinity_cost in

@@ -11,7 +11,13 @@
     reduction in re-examined states on spaces with many commuting
     operators, which ℒ's rename/λ spaces are; the [ablation] bench
     quantifies the effect. With an admissible heuristic, solution costs
-    remain optimal (backed-up cutoffs are valid lower bounds). *)
+    remain optimal (backed-up cutoffs are valid lower bounds).
+
+    Like {!Ida}, re-expansions reuse the successor list of the state's
+    first expansion from a per-search {!Space.Expansion_cache}, bounded
+    at {!Space.expansion_cache_bound} (4096) successor states — for
+    TUPELO's space at most 4096 × [max_state_cells] cells on top of the
+    table. *)
 
 module Make (S : Space.S) : sig
   val search :

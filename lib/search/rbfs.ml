@@ -3,6 +3,7 @@ let infinity_cost = max_int / 2
 
 module Make (S : Space.S) = struct
   module KT = Hashtbl.Make (S.Key)
+  module Expansions = Space.Expansion_cache (S)
 
   exception Budget
   exception Stopped
@@ -31,6 +32,7 @@ module Make (S : Space.S) = struct
           f { Space.w_state = state; w_path_rev = path_rev; w_cost = g }
     in
     let on_path : unit KT.t = KT.create 64 in
+    let expansions = Expansions.create () in
     let clamp x = if x > infinity_cost then infinity_cost else x in
     let rec rbfs node path_rev f_limit =
       if stop () then raise Stopped;
@@ -41,7 +43,9 @@ module Make (S : Space.S) = struct
       else begin
         let key = S.key node.state in
         KT.add on_path key ();
-        let all_succs = S.successors node.state in
+        let all_succs =
+          Expansions.successors telemetry expansions key node.state
+        in
         let succs =
           List.filter
             (fun (_, s) -> not (KT.mem on_path (S.key s)))

@@ -36,7 +36,10 @@ module type S = sig
 
   val successors : state -> (action * state) list
   (** All states one transformation away. Order matters only for
-      tie-breaking. *)
+      tie-breaking. Must be a function of [key state]: engines that
+      re-expand states (IDA*, IDA*+TT, RBFS) may return the list an
+      earlier call produced for an equal key (see {!Expansion_cache}),
+      just as closed sets rely on equal keys meaning identical states. *)
 
   val is_goal : state -> bool
 end
@@ -125,6 +128,7 @@ module Ev = struct
   let prune_seen = "search.prune.seen"
   let prune_stale = "search.prune.stale"
   let prune_cycle = "search.prune.cycle"
+  let expand_cached = "search.expand.cached"
   let frontier = "search.frontier"
   let iteration = "search.iteration"
   let bound = "search.bound"
@@ -140,6 +144,52 @@ let record_expansion tel c ~generated =
   c.generated_c <- c.generated_c + generated;
   Telemetry.count tel Ev.expand 1;
   Telemetry.count tel Ev.generate generated
+
+(** {2 Expansion cache}
+
+    IDA* re-expands shallow states on every iteration and RBFS after
+    every backtrack. Those re-expansions are counted (the paper's metric),
+    but the successor list itself need not be rebuilt: by the
+    {!S.successors} contract it is a function of the key. One cache per
+    search keeps the list the first expansion of each key produced —
+    the same physical states in the same order — so counts, search order
+    and solutions are exactly those of regenerating it.
+
+    Retention is bounded: the cache fills until it holds
+    {!expansion_cache_bound} successor states, then stops inserting. The
+    first entries are the shallow states an iterative search re-expands
+    most. The bound counts states, not bytes: in TUPELO's space it pins
+    at most [expansion_cache_bound] × [max_state_cells] cells, plus the
+    ancestors a retained state still references. *)
+
+let expansion_cache_bound = 4096
+
+module Expansion_cache (S : S) = struct
+  module KT = Hashtbl.Make (S.Key)
+
+  type t = {
+    table : (S.action * S.state) list KT.t;
+    mutable retained : int;  (** successor states held, each entry ≥ 1 *)
+  }
+
+  let create () = { table = KT.create 256; retained = 0 }
+
+  (** [successors tel cache key state] is [S.successors state], [key]
+      being [S.key state]; a hit counts [search.expand.cached]. *)
+  let successors tel t key state =
+    match KT.find t.table key with
+    | succs ->
+        Telemetry.count tel Ev.expand_cached 1;
+        succs
+    | exception Not_found ->
+        let succs = S.successors state in
+        let cost = max 1 (List.length succs) in
+        if t.retained + cost <= expansion_cache_bound then begin
+          KT.add t.table key succs;
+          t.retained <- t.retained + cost
+        end;
+        succs
+end
 
 let tick_iteration tel c =
   c.iterations_c <- c.iterations_c + 1;

@@ -18,6 +18,9 @@
     - [search.examine] / [search.expand] / [search.generate] — counters
       whose per-run sums equal the [examined]/[expanded]/[generated]
       fields of {!Search.Space.stats} for that run.
+    - [search.expand.cached] — counter: expansions (IDA*, IDA*+TT, RBFS)
+      served from the search's expansion cache instead of regenerating
+      successors; a subset of [search.expand], so never larger.
     - [search.prune.seen], [search.prune.stale], [search.prune.cycle] —
       counters for duplicate, stale-node and on-path-cycle pruning.
     - [search.frontier] — gauge: frontier size (heap/queue/beam) sampled

@@ -341,7 +341,12 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
      heuristic skips profile construction altogether. The cache is
      bounded and per-domain (see {!Heuristics.Memo}), so parallel
      frontier expansion and portfolio racing can score states on any
-     domain. *)
+     domain. One layer down, the same engines reuse the successor list
+     of a re-expanded state instead of rebuilding it
+     ({!Search.Space.Expansion_cache}: at most
+     {!Search.Space.expansion_cache_bound} = 4096 successor states per
+     search, i.e. 4096 × [max_state_cells] cells worst case), so a
+     re-visit costs a memo hit here and no successor generation. *)
   let estimate_for tel (heuristic : Heuristics.Heuristic.t) =
     if heuristic.Heuristics.Heuristic.name = "h0" then fun _ -> 0
     else begin

@@ -271,6 +271,191 @@ let test_heap_many () =
   Alcotest.(check bool) "sorted" true
     (List.sort compare out = out)
 
+(* Expansion cache: IDA*, IDA*+TT and RBFS hand a re-expanded state the
+   successor list its first expansion built. Two spaces whose
+   [successors] count their calls per key: a 4×4 grid with moves in all
+   four directions (cyclic, so on-path pruning fires on cached lists),
+   and a layered space whose distinct expansions hold more successor
+   states than [Space.expansion_cache_bound]. The pinned counts, paths
+   and cycle-prune totals are those of engines that regenerate every
+   list. *)
+module Grid4 = struct
+  type state = int * int
+  type action = [ `Right | `Left | `Up | `Down ]
+
+  let size = 4
+
+  module Key = Search.Space.String_key
+
+  let key (x, y) = Printf.sprintf "%d,%d" x y
+
+  let successors (x, y) =
+    List.filter
+      (fun (_, (x', y')) -> x' >= 0 && y' >= 0 && x' < size && y' < size)
+      [
+        (`Right, (x + 1, y)); (`Up, (x, y + 1)); (`Left, (x - 1, y));
+        (`Down, (x, y - 1));
+      ]
+
+  let is_goal (x, y) = x = size - 1 && y = size - 1
+
+  let show = function
+    | `Right -> "R" | `Left -> "L" | `Up -> "U" | `Down -> "D"
+end
+
+module Lattice = struct
+  (* Layer d, index i: three steps into layer d + 1 (so states are
+     reached along many paths) and one back into layer d - 1. *)
+  type state = int * int
+  type action = int
+
+  let width = 5000
+
+  module Key = Search.Space.String_key
+
+  let key (d, i) = Printf.sprintf "%d/%d" d i
+
+  let successors (d, i) =
+    let forward =
+      [
+        (0, (d + 1, (2 * i) mod width));
+        (1, (d + 1, ((2 * i) + 1) mod width));
+        (2, (d + 1, ((3 * i) + 1) mod width));
+      ]
+    in
+    if d > 0 then forward @ [ (3, (d - 1, i)) ] else forward
+
+  let is_goal s = s = (9, 300)
+  let heuristic (d, _) = max 0 (9 - d) / 3
+  let show = string_of_int
+end
+
+module Counted (S : sig
+  include Search.Space.S with type Key.t = string
+
+  val show : action -> string
+end) =
+struct
+  module C = struct
+    include S
+
+    let calls : (string, int) Hashtbl.t = Hashtbl.create 64
+
+    (* Successor states over distinct keys: what an unbounded cache
+       would retain. *)
+    let retained = ref 0
+
+    let successors s =
+      let k = key s in
+      let succs = S.successors s in
+      (match Hashtbl.find_opt calls k with
+      | None ->
+          Hashtbl.add calls k 1;
+          retained := !retained + List.length succs
+      | Some n -> Hashtbl.replace calls k (n + 1));
+      succs
+  end
+
+  module I = Search.Ida.Make (C)
+  module T = Search.Ida_tt.Make (C)
+  module R = Search.Rbfs.Make (C)
+
+  let engines =
+    [
+      ("IDA", fun ~telemetry ~heuristic root -> I.search ~telemetry ~heuristic root);
+      ("IDA+TT", fun ~telemetry ~heuristic root -> T.search ~telemetry ~heuristic root);
+      ("RBFS", fun ~telemetry ~heuristic root -> R.search ~telemetry ~heuristic root);
+    ]
+
+  (* Runs [engine] traced; returns its stats, path, the
+     [search.prune.cycle] and [search.expand.cached] totals. *)
+  let run engine ~heuristic root =
+    Hashtbl.reset C.calls;
+    C.retained := 0;
+    let agg = Telemetry.Agg.create () in
+    let telemetry = Telemetry.create (Telemetry.Agg.sink agg) in
+    let r = (List.assoc engine engines) ~telemetry ~heuristic root in
+    let path =
+      match r.Search.Space.outcome with
+      | Search.Space.Found { path; _ } -> String.concat ";" (List.map S.show path)
+      | _ -> "no solution"
+    in
+    ( r.Search.Space.stats,
+      path,
+      Telemetry.Agg.counter agg "search.prune.cycle",
+      Telemetry.Agg.counter agg "search.expand.cached" )
+
+  let check_pinned engine ~heuristic root
+      (examined, generated, expanded, path, cycle) =
+    let stats, path', cycle', _ = run engine ~heuristic root in
+    let check what = Alcotest.(check int) (engine ^ " " ^ what) in
+    check "examined" examined stats.Search.Space.examined;
+    check "generated" generated stats.Search.Space.generated;
+    check "expanded" expanded stats.Search.Space.expanded;
+    Alcotest.(check string) (engine ^ " path") path path';
+    check "search.prune.cycle" cycle cycle'
+end
+
+module Grid4_c = Counted (Grid4)
+module Lattice_c = Counted (Lattice)
+
+let test_expansion_once_per_key () =
+  List.iter
+    (fun (engine, _) ->
+      let stats, _, _, cached = Grid4_c.run engine ~heuristic:zero (0, 0) in
+      let distinct = Hashtbl.length Grid4_c.C.calls in
+      Alcotest.(check bool) (engine ^ ": under the bound") true
+        (!Grid4_c.C.retained <= Search.Space.expansion_cache_bound);
+      Alcotest.(check bool) (engine ^ ": states re-expanded") true
+        (stats.Search.Space.expanded > distinct);
+      Hashtbl.iter
+        (fun k n -> Alcotest.(check int) (engine ^ ": successors of " ^ k) 1 n)
+        Grid4_c.C.calls;
+      Alcotest.(check int) (engine ^ ": search.expand.cached")
+        (stats.Search.Space.expanded - distinct)
+        cached)
+    Grid4_c.engines
+
+let test_expansion_cycle_pruning () =
+  let pin engine = Grid4_c.check_pinned engine ~heuristic:zero (0, 0) in
+  pin "IDA" (161, 508, 160, "R;R;R;U;U;U", 178);
+  pin "IDA+TT" (161, 508, 160, "R;R;R;U;U;U", 178);
+  pin "RBFS" (141, 285, 140, "R;R;R;U;U;U", 169)
+
+let test_expansion_hit_no_alloc () =
+  let module E = Search.Space.Expansion_cache (Grid4) in
+  let cache = E.create () in
+  let key = Grid4.key (1, 1) in
+  let first = E.successors Telemetry.disabled cache key (1, 1) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let hit = ref [] in
+  let baseline = words ignore in
+  let spent =
+    words (fun () -> hit := E.successors Telemetry.disabled cache key (1, 1))
+  in
+  Alcotest.(check bool) "a hit returns the first list" true (!hit == first);
+  Alcotest.(check (float 0.)) "words allocated by a hit" baseline spent
+
+let test_expansion_past_bound () =
+  (* [regenerates]: some list past the bound is built twice. IDA+TT's
+     backed-up h-values prune those re-visits before expansion. *)
+  let pin engine ~regenerates pinned =
+    Lattice_c.check_pinned engine ~heuristic:Lattice.heuristic (0, 0) pinned;
+    Alcotest.(check bool) (engine ^ ": distinct expansions exceed the bound")
+      true
+      (!Lattice_c.C.retained > Search.Space.expansion_cache_bound);
+    Alcotest.(check bool) (engine ^ ": lists past the bound regenerated")
+      regenerates
+      (Hashtbl.fold (fun _ n acc -> acc || n > 1) Lattice_c.C.calls false)
+  in
+  pin "IDA" ~regenerates:true (34742, 138918, 34741, "0;1;1;0;0;2;1;0;0", 35);
+  pin "IDA+TT" ~regenerates:false (3867, 15447, 3866, "0;1;1;0;0;2;1;0;0", 35);
+  pin "RBFS" ~regenerates:true (24262, 96980, 24261, "2;0;0;1;0;1;1;0;0", 27)
+
 let suite =
   [
     Alcotest.test_case "grid: all algorithms optimal" `Quick test_grid_all_algorithms;
@@ -287,4 +472,12 @@ let suite =
     Alcotest.test_case "elapsed time non-negative" `Quick test_elapsed_non_negative;
     Alcotest.test_case "heap ordering" `Quick test_heap;
     Alcotest.test_case "heap stress" `Quick test_heap_many;
+    Alcotest.test_case "expansion cache: one successors call per key" `Quick
+      test_expansion_once_per_key;
+    Alcotest.test_case "expansion cache: cycle pruning on cached lists"
+      `Quick test_expansion_cycle_pruning;
+    Alcotest.test_case "expansion cache: counts past the bound" `Quick
+      test_expansion_past_bound;
+    Alcotest.test_case "expansion cache: a hit allocates nothing" `Quick
+      test_expansion_hit_no_alloc;
   ]

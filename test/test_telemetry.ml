@@ -168,6 +168,9 @@ let test_agg_matches_space_counters () =
   Alcotest.(check int) "search.generate = stats.generated"
     stats.Search.Space.generated
     (Telemetry.Agg.counter agg "search.generate");
+  Alcotest.(check bool) "search.expand.cached <= search.expand" true
+    (Telemetry.Agg.counter agg "search.expand.cached"
+    <= Telemetry.Agg.counter agg "search.expand");
   Alcotest.(check int) "search.iteration = stats.iterations"
     stats.Search.Space.iterations
     (Telemetry.Agg.counter agg "search.iteration");
@@ -247,12 +250,40 @@ let test_agg_scopes () =
   Alcotest.(check int) "scope b" 3 (Telemetry.Agg.counter agg ~scope:"b" "k");
   Alcotest.(check int) "all scopes" 5 (Telemetry.Agg.counter agg "k")
 
+(* IDA* re-expands the shallow flights states on every iteration; the
+   expansion cache serves those re-expansions without changing what the
+   search reports. *)
+let test_expansion_cache_counter () =
+  List.iter
+    (fun (name, source, target) ->
+      let agg = Telemetry.Agg.create () in
+      let telemetry = Telemetry.create (Telemetry.Agg.sink agg) in
+      let stats =
+        stats_of
+          (Tupelo.Discover.discover ~registry:Workloads.Flights.registry
+             (Tupelo.Discover.config ~algorithm:Tupelo.Discover.Ida
+                ~heuristic:Heuristics.Heuristic.h1 ~budget:500_000 ~telemetry
+                ())
+             ~source ~target)
+      in
+      let expand = Telemetry.Agg.counter agg "search.expand" in
+      let cached = Telemetry.Agg.counter agg "search.expand.cached" in
+      Alcotest.(check int) (name ^ ": search.expand = stats.expanded")
+        stats.Search.Space.expanded expand;
+      Alcotest.(check bool) (name ^ ": search.expand.cached <= search.expand")
+        true (cached <= expand);
+      Alcotest.(check bool) (name ^ ": search.expand.cached > 0") true
+        (cached > 0))
+    Workloads.Flights.pairs
+
 let suite =
   [
     Alcotest.test_case "jsonl: lines parse and keep the schema" `Quick
       test_jsonl_schema;
     Alcotest.test_case "agg: counters match Space stats" `Quick
       test_agg_matches_space_counters;
+    Alcotest.test_case "agg: expansion-cache hits on IDA* flights" `Quick
+      test_expansion_cache_counter;
     Alcotest.test_case "agg: aggregate equals trace sum" `Quick
       test_agg_matches_jsonl_sum;
     Alcotest.test_case "disabled: inert and allocation-free path" `Quick

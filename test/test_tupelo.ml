@@ -616,6 +616,74 @@ let test_config_defaults () =
     && D.algorithm_of_string "beam:0" = None
     && D.algorithm_of_string "quantum" = None)
 
+(* IDA* and RBFS reuse a re-expanded state's successor list; the states
+   they examine and the programs they return must be exactly those of
+   regenerating every list. Pinned on the heaviest IDA*/RBFS templates
+   of the perfbench discover-mix pools (budget 50 000, the engine's
+   tuned scaling constants). *)
+let test_expansion_cache_pins () =
+  let renames rel pairs =
+    String.concat "\n"
+      (List.map (fun (a, b) -> Printf.sprintf "rename_att[%s->%s](%s)" a b rel) pairs)
+  in
+  let e1_8 = Workloads.Synthetic.matching_pair 8 in
+  let automobiles_31 =
+    let d =
+      List.find
+        (fun d -> Workloads.Bamm.domain_name d = "Automobiles")
+        Workloads.Bamm.all_domains
+    in
+    List.nth (Workloads.Bamm.pairs d) 31
+  in
+  let flights_a_b =
+    let _, s, t =
+      List.find (fun (l, _, _) -> l = "A->B") Workloads.Flights.pairs
+    in
+    (s, t)
+  in
+  let ab k = (Printf.sprintf "A%02d" k, Printf.sprintf "B%02d" k) in
+  let pin name ?registry algorithm hname (source, target) examined program =
+    let heuristic =
+      Option.get (Heuristics.Heuristic.by_name (D.scaling_for algorithm) hname)
+    in
+    let outcome =
+      D.discover ?registry
+        (D.config ~algorithm ~heuristic ~budget:50_000 ())
+        ~source ~target
+    in
+    Alcotest.(check int) (name ^ " states examined") examined
+      (D.states_examined outcome);
+    match outcome with
+    | D.Mapping m ->
+        Alcotest.(check string) (name ^ " program") program
+          (Fira.Expr.to_string m.Tupelo.Mapping.expr)
+    | _ -> Alcotest.fail (name ^ ": no mapping")
+  in
+  pin "E1 n=8 IDA/cosine" D.Ida "cosine" e1_8 29_380
+    (renames "R" (List.init 8 (fun i -> ab (i + 1))));
+  pin "E1 n=8 IDA/levenshtein" D.Ida "levenshtein" e1_8 17_488
+    (renames "R" (List.map ab [ 1; 2; 3; 5; 6; 7; 8; 4 ]));
+  pin "E2 Automobiles #31 IDA/cosine" D.Ida "cosine" automobiles_31 11_019
+    (String.concat "\n"
+       [
+         renames "Autos"
+           [ ("make", "manufacturer"); ("model", "model_name"); ("year", "model_year") ];
+         "rename_rel[Autos->AutoSearch]";
+         renames "AutoSearch"
+           [
+             ("price", "cost"); ("mileage", "miles"); ("fuel", "fuel_type");
+             ("zip", "location");
+           ];
+       ]);
+  pin "E4 A->B RBFS/h3" ~registry:Workloads.Flights.registry D.Rbfs "h3"
+    flights_a_b 1_468
+    (String.concat "\n"
+       [
+         "demote[ATT,REL](Flights)"; "rename_att[Fee->AgentFee](Flights)";
+         "rename_rel[Flights->Prices]"; "rename_att[ATT->Route](Prices)";
+         "deref[Cost<-*Route](Prices)";
+       ])
+
 let suite =
   [
     Alcotest.test_case "goal modes" `Quick test_goal_modes;
@@ -653,4 +721,6 @@ let suite =
     Alcotest.test_case "matching: scoring" `Quick test_matching_score;
     Alcotest.test_case "matching: BAMM ground truth" `Quick test_matching_on_bamm_truth;
     Alcotest.test_case "config defaults" `Quick test_config_defaults;
+    Alcotest.test_case "expansion cache: pinned discover-mix tails" `Quick
+      test_expansion_cache_pins;
   ]

@@ -1,244 +1,9 @@
 module Make (S : Space.S) = struct
-  module KT = Hashtbl.Make (S.Key)
+  module B = Best_first.Make (S)
 
-  type node = { state : S.state; path_rev : S.action list; g : int }
-
-  (* Successor generation + heuristic scoring for one frontier node: the
-     per-node work that fans out across domains in batched mode. *)
-  let expand ~heuristic node =
-    let succs = S.successors node.state in
-    ( node,
-      List.length succs,
-      List.map
-        (fun (action, s) -> (action, s, S.key s, node.g + 1 + heuristic s))
-        succs )
-
-  let search ?(stop = Space.never_stop) ?(telemetry = Telemetry.disabled)
-      ?pool ?batch ?(budget = Space.default_budget) ?watch ?resume ?snapshot
+  let search ?stop ?telemetry ?pool ?budget ?watch ?resume ?snapshot
       ~heuristic root =
-    Space.validate_budget "Astar.search" budget;
-    (match batch with
-    | Some b when b < 1 ->
-        invalid_arg
-          (Printf.sprintf "Astar.search: batch must be positive (got %d)" b)
-    | _ -> ());
-    let c = Space.counters () in
-    let elapsed = Space.stopwatch () in
-    let finish outcome = Space.finish ~telemetry c elapsed outcome in
-    let frontier = Heap.create () in
-    (* best g with which a key was ever enqueued/expanded; pre-sized to
-       the working set a budgeted cold search actually reaches, so the
-       table doesn't resize through a series of ever-larger major-heap
-       bucket arrays mid-search *)
-    let best_g : int KT.t = KT.create (max 256 (min budget 8192)) in
-    let push node =
-      Heap.push frontier ~priority:(node.g + heuristic node.state) node
-    in
-    let found node =
-      Space.Found
-        { path = List.rev node.path_rev; final = node.state; cost = node.g }
-    in
-    let is_stale node =
-      match KT.find_opt best_g (S.key node.state) with
-      | Some g -> g < node.g
-      | None -> false
-    in
-    let observe =
-      match watch with
-      | None -> fun _ -> ()
-      | Some f ->
-          fun node ->
-            f
-              {
-                Space.w_state = node.state;
-                w_path_rev = node.path_rev;
-                w_cost = node.g;
-              }
-    in
-    (* Frontier capture for checkpoint/resume: the node in hand (popped
-       but not goal-tested) followed by the heap drained in pop order,
-       stale entries dropped, plus the whole dedup table. Only reached
-       on Budget_exceeded/Cancelled, when the heap is dead anyway. *)
-    let capture extra =
-      match snapshot with
-      | None -> ()
-      | Some f ->
-          let rec drain acc =
-            match Heap.pop frontier with
-            | None -> List.rev acc
-            | Some (_, n) -> if is_stale n then drain acc else drain (n :: acc)
-          in
-          let nodes = extra @ drain [] in
-          f
-            {
-              Space.snap_nodes =
-                List.map (fun n -> (List.rev n.path_rev, n.state)) nodes;
-              snap_closed = KT.fold (fun k g acc -> (k, g) :: acc) best_g [];
-              snap_checked = 0;
-            }
-    in
-    (match resume with
-    | None ->
-        KT.replace best_g (S.key root) 0;
-        push { state = root; path_rev = []; g = 0 }
-    | Some snap ->
-        (* Transplanted dedup table + re-enqueued open nodes: pushing the
-           snapshot in its own (priority-sorted) order preserves the
-           original heap's tie-breaking against both itself and any node
-           enqueued later, so the resumed run pops in exactly the order
-           the interrupted run would have. *)
-        List.iter
-          (fun (k, g) -> KT.replace best_g k g)
-          snap.Space.snap_closed;
-        List.iter
-          (fun (path, state) ->
-            let g = List.length path in
-            let k = S.key state in
-            (match KT.find_opt best_g k with
-            | Some g0 when g0 <= g -> ()
-            | _ -> KT.replace best_g k g);
-            push { state; path_rev = List.rev path; g })
-          snap.Space.snap_nodes);
-    (* Record a successor if it improves on the best known g for its key;
-       returns the nodes to enqueue. Sequential (deterministic dedup). *)
-    let admit node (action, s, k, g_and_f) =
-      let g = node.g + 1 in
-      let better =
-        match KT.find_opt best_g k with Some g0 -> g < g0 | None -> true
-      in
-      if better then begin
-        KT.replace best_g k g;
-        Heap.push frontier ~priority:g_and_f
-          { state = s; path_rev = action :: node.path_rev; g }
-      end
-    in
-    let merge_expansion (node, succ_count, candidates) =
-      Space.record_expansion telemetry c ~generated:succ_count;
-      List.iter (admit node) candidates
-    in
-    let sample_frontier () =
-      Telemetry.gauge telemetry Space.Ev.frontier
-        (float_of_int (Heap.size frontier))
-    in
-    match pool with
-    | None ->
-        (* The classic sequential loop: pop one node at a time. *)
-        let rec loop () =
-          match Heap.pop frontier with
-          | None -> finish Space.Exhausted
-          | Some (_, node) ->
-              if stop () then begin
-                capture [ node ];
-                finish Space.Cancelled
-              end
-              else if is_stale node then begin
-                Telemetry.count telemetry Space.Ev.prune_stale 1;
-                loop ()
-              end
-              else if c.examined_c >= budget then begin
-                (* Checked before the tick so the node in hand is
-                   captured untested — resume examines it first and the
-                   budget split stays exact (see [Greedy]). *)
-                capture [ node ];
-                finish Space.Budget_exceeded
-              end
-              else begin
-                Space.tick_examined telemetry c;
-                if (observe node; S.is_goal node.state) then
-                  finish (found node)
-                else begin
-                  merge_expansion (expand ~heuristic node);
-                  sample_frontier ();
-                  loop ()
-                end
-              end
-        in
-        loop ()
-    | Some pool ->
-        (* Batched frontier expansion: pop up to [batch] best nodes, goal
-           test them sequentially in f-order, then expand the non-goals
-           across the pool and merge in pop order. A goal found in a
-           batch becomes the incumbent rather than an immediate answer —
-           batch-mates with smaller f may still lead to a cheaper goal —
-           and the search returns it once no frontier f is below its
-           cost. With an admissible heuristic the incumbent returned is
-           optimal, the same cost as the sequential engine's answer. *)
-        let batch_size =
-          match batch with Some b -> b | None -> 2 * Pool.size pool
-        in
-        let rec take k acc =
-          if k = 0 then List.rev acc
-          else
-            match Heap.pop frontier with
-            | None -> List.rev acc
-            | Some (_, node) ->
-                if is_stale node then begin
-                  Telemetry.count telemetry Space.Ev.prune_stale 1;
-                  take k acc
-                end
-                else take (k - 1) (node :: acc)
-        in
-        let rec loop incumbent =
-          let settled =
-            (* The incumbent is the answer once no frontier f-value is
-               below its cost. *)
-            match incumbent with
-            | None -> false
-            | Some inc -> (
-                match Heap.peek frontier with
-                | None -> true
-                | Some (f, _) -> f >= inc.g)
-          in
-          if settled then
-            finish (found (Option.get incumbent))
-          else if Heap.is_empty frontier then finish Space.Exhausted
-          else if stop () then
-            (* Cancelled mid-race; an incumbent mapping is still a
-               mapping, so prefer reporting it — otherwise checkpoint
-               the heap so the give-up is resumable, like the
-               sequential loop's. *)
-            finish
-              (match incumbent with
-              | Some inc -> found inc
-              | None ->
-                  capture [];
-                  Space.Cancelled)
-          else begin
-            let nodes = take batch_size [] in
-            sample_frontier ();
-            let rec test incumbent to_expand = function
-              | [] -> `Go (incumbent, List.rev to_expand)
-              | node :: rest ->
-                  if c.examined_c >= budget then
-                    `Done
-                      (match incumbent with
-                      | Some inc -> found inc
-                      | None ->
-                          (* The batch remainder in pop order — already
-                             goal-tested batch-mates first (re-tested on
-                             resume), then the untested tail — ahead of
-                             the drained heap. *)
-                          capture (List.rev_append to_expand (node :: rest));
-                          Space.Budget_exceeded)
-                  else begin
-                    Space.tick_examined telemetry c;
-                    if (observe node; S.is_goal node.state) then
-                      let incumbent =
-                        match incumbent with
-                        | Some best when best.g <= node.g -> Some best
-                        | _ -> Some node
-                      in
-                      test incumbent to_expand rest
-                    else test incumbent (node :: to_expand) rest
-                  end
-            in
-            match test incumbent [] nodes with
-            | `Done outcome -> finish outcome
-            | `Go (incumbent, to_expand) ->
-                Pool.map_list pool (expand ~heuristic) to_expand
-                |> List.iter merge_expansion;
-                loop incumbent
-          end
-        in
-        loop None
+    B.search ~name:"Astar.search" ~dedup:Best_g
+      ~priority:(fun ~g s -> g + heuristic s)
+      ?stop ?telemetry ?pool ?budget ?watch ?resume ?snapshot root
 end

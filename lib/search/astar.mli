@@ -12,7 +12,6 @@ module Make (S : Space.S) : sig
     ?stop:(unit -> bool) ->
     ?telemetry:Telemetry.t ->
     ?pool:Pool.t ->
-    ?batch:int ->
     ?budget:int ->
     ?watch:((S.state, S.action) Space.witness -> unit) ->
     ?resume:(S.state, S.action, S.Key.t) Space.snapshot ->
@@ -20,29 +19,19 @@ module Make (S : Space.S) : sig
     heuristic:(S.state -> int) ->
     S.state ->
     (S.state, S.action) Space.result
-  (** With [pool], the frontier is expanded in batches of up to [batch]
-      nodes (default [2 * Pool.size pool]): successor generation and
-      heuristic scoring fan out across the pool's domains while goal
-      tests and duplicate detection stay sequential, merged in f-order.
-      A goal found inside a batch is held as an incumbent until no
-      frontier f-value is below its cost, so with an admissible
-      heuristic the returned cost equals the sequential engine's
-      ([examined] may differ and is reported honestly). [stop] is
-      polled once per batch (once per pop when sequential); when it
-      fires the search returns {!Space.Cancelled} — or the incumbent
-      mapping, if one is already in hand.
+  (** {!Best_first} keyed on [g + h] with {!Best_first.Best_g} dedup;
+      [stop], [watch], [snapshot] and [resume] behave as documented
+      there.
 
-      [watch] (anytime observation) fires once per goal-tested node —
-      after the budget check, before the goal test — and must not
-      mutate the space; it never changes the outcome, stats or
-      examination order. [snapshot] is invoked with a resumable
-      frontier when the sequential engine finishes with
-      {!Space.Budget_exceeded} or {!Space.Cancelled} (the pooled engine
-      does not checkpoint); passing that snapshot back as [resume]
-      continues the search exactly where it stopped — the dedup table
-      is transplanted and the open nodes re-enqueued in order, so the
-      resumed run pops in the same order the interrupted run would
-      have. With [resume], the root is ignored in favor of the
-      snapshot's open nodes.
-      @raise Invalid_argument if [budget <= 0] or [batch < 1]. *)
+      With [pool], the frontier is expanded in batches of
+      [2 * Pool.size pool] nodes: successor generation and heuristic
+      scoring fan out across the pool's domains while goal tests and
+      duplicate detection stay sequential, merged in f-order. A goal
+      found inside a batch is held as an incumbent until no frontier
+      f-value is below its cost, so with an admissible heuristic the
+      returned cost equals the sequential engine's ([examined] may
+      differ and is reported honestly). [stop] is then polled once per
+      batch; when it fires the search returns the incumbent mapping if
+      one is already in hand, else {!Space.Cancelled} with a snapshot.
+      @raise Invalid_argument if [budget <= 0]. *)
 end

@@ -1,123 +1,8 @@
 module Make (S : Space.S) = struct
-  module Keys = Hashtbl.Make (S.Key)
+  module B = Best_first.Make (S)
 
-  type node = { state : S.state; path_rev : S.action list; depth : int }
-
-  let search ?(stop = Space.never_stop) ?(telemetry = Telemetry.disabled)
-      ?(budget = Space.default_budget) ?watch ?resume ?snapshot root =
-    Space.validate_budget "Bfs.search" budget;
-    let c = Space.counters () in
-    let elapsed = Space.stopwatch () in
-    let finish outcome = Space.finish ~telemetry c elapsed outcome in
-    let queue = Queue.create () in
-    let seen : unit Keys.t = Keys.create (max 256 (min budget 8192)) in
-    let observe =
-      match watch with
-      | None -> fun _ -> ()
-      | Some f ->
-          fun node ->
-            f
-              {
-                Space.w_state = node.state;
-                w_path_rev = node.path_rev;
-                w_cost = node.depth;
-              }
-    in
-    (* Checkpoint on Budget_exceeded/Cancelled: the node in hand followed
-       by the rest of the queue in FIFO order, plus the seen set. *)
-    let capture extra =
-      match snapshot with
-      | None -> ()
-      | Some f ->
-          let nodes =
-            extra @ List.rev (Queue.fold (fun acc n -> n :: acc) [] queue)
-          in
-          f
-            {
-              Space.snap_nodes =
-                List.map (fun n -> (List.rev n.path_rev, n.state)) nodes;
-              snap_closed = Keys.fold (fun k () acc -> (k, 0) :: acc) seen [];
-              snap_checked = 0;
-            }
-    in
-    (match resume with
-    | None ->
-        Keys.replace seen (S.key root) ();
-        Queue.push { state = root; path_rev = []; depth = 0 } queue
-    | Some snap ->
-        List.iter (fun (k, _) -> Keys.replace seen k ()) snap.Space.snap_closed;
-        List.iter
-          (fun (path, state) ->
-            Keys.replace seen (S.key state) ();
-            Queue.push
-              { state; path_rev = List.rev path; depth = List.length path }
-              queue)
-          snap.Space.snap_nodes);
-    let rec loop () =
-      if Queue.is_empty queue then finish Space.Exhausted
-      else begin
-        let node = Queue.pop queue in
-        if stop () then begin
-          capture [ node ];
-          finish Space.Cancelled
-        end
-        else if c.examined_c >= budget then begin
-          (* Checked before the tick so the node in hand is captured
-             untested — resume examines it first and the budget split
-             stays exact (see [Greedy]). *)
-          capture [ node ];
-          finish Space.Budget_exceeded
-        end
-        else begin
-          Space.tick_examined telemetry c;
-          if (observe node; S.is_goal node.state) then
-            finish
-              (Space.Found
-                 { path = List.rev node.path_rev; final = node.state; cost = node.depth })
-          else begin
-            let succs = S.successors node.state in
-            Space.record_expansion telemetry c ~generated:(List.length succs);
-            List.iter
-              (fun (action, s) ->
-                let k = S.key s in
-                if not (Keys.mem seen k) then begin
-                  Keys.replace seen k ();
-                  Queue.push
-                    { state = s; path_rev = action :: node.path_rev; depth = node.depth + 1 }
-                    queue
-                end
-                else Telemetry.count telemetry Space.Ev.prune_seen 1)
-              succs;
-            Telemetry.gauge telemetry Space.Ev.frontier
-              (float_of_int (Queue.length queue));
-            loop ()
-          end
-        end
-      end
-    in
-    loop ()
-
-  let reachable ?(budget = Space.default_budget) ?(max_depth = max_int) root =
-    Space.validate_budget "Bfs.reachable" budget;
-    let depths : int Keys.t = Keys.create (max 256 (min budget 8192)) in
-    let queue = Queue.create () in
-    Keys.replace depths (S.key root) 0;
-    Queue.push (root, 0) queue;
-    let count = ref 0 in
-    let continue = ref true in
-    while !continue && not (Queue.is_empty queue) do
-      let state, depth = Queue.pop queue in
-      incr count;
-      if !count > budget then continue := false
-      else if depth < max_depth then
-        List.iter
-          (fun (_, s) ->
-            let k = S.key s in
-            if not (Keys.mem depths k) then begin
-              Keys.replace depths k (depth + 1);
-              Queue.push (s, depth + 1) queue
-            end)
-          (S.successors state)
-    done;
-    depths
+  let search ?stop ?telemetry ?budget ?watch ?resume ?snapshot root =
+    B.search ~name:"Bfs.search" ~dedup:Seen
+      ~priority:(fun ~g _ -> g)
+      ?stop ?telemetry ?budget ?watch ?resume ?snapshot root
 end

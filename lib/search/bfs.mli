@@ -2,12 +2,11 @@
 
     With unit edge costs BFS returns a shortest path, so the test suite
     uses it as the optimality oracle for IDA* and RBFS (whose solutions
-    must match its cost whenever the heuristic is admissible). *)
+    must match its cost whenever the heuristic is admissible).
+    {!Best_first} keyed on depth with {!Best_first.Seen} dedup; the heap
+    breaks ties by insertion order, so it pops in FIFO order. *)
 
 module Make (S : Space.S) : sig
-  module Keys : Hashtbl.S with type key = S.Key.t
-  (** Tables keyed by state identity. *)
-
   val search :
     ?stop:(unit -> bool) ->
     ?telemetry:Telemetry.t ->
@@ -17,22 +16,9 @@ module Make (S : Space.S) : sig
     ?snapshot:((S.state, S.action, S.Key.t) Space.snapshot -> unit) ->
     S.state ->
     (S.state, S.action) Space.result
-  (** [stop] is polled once per examination; when it returns true the
-      search finishes with {!Space.Cancelled}. [telemetry] (default
-      {!Telemetry.disabled}) receives the standard search events —
-      examine/expand/generate counters, prune counters, frontier gauges
-      and the final outcome message (see {!Space.Ev}).
-
-      [watch] fires once per goal-tested node (after the budget check,
-      before the goal test) and must not mutate the space. [snapshot]
-      is invoked with a resumable frontier (the remaining queue in FIFO
-      order plus the seen set) on
-      {!Space.Budget_exceeded}/{!Space.Cancelled}; passing it back as
-      [resume] continues the traversal exactly where it stopped. With
-      [resume] the root is ignored.
+  (** [stop], [watch], [snapshot] and [resume] behave as in the
+      sequential {!Best_first.Make.search}: [stop] is polled once per
+      pop, and a budget-exceeded or cancelled run hands back a frontier
+      that [resume] continues in exactly the interrupted run's order.
       @raise Invalid_argument if [budget <= 0]. *)
-
-  val reachable : ?budget:int -> ?max_depth:int -> S.state -> int Keys.t
-  (** Keys of all states reachable within [max_depth] steps, mapped to
-      their BFS depth. Used by tests to characterize small spaces. *)
 end

@@ -1,107 +1,9 @@
 module Make (S : Space.S) = struct
-  module KT = Hashtbl.Make (S.Key)
+  module B = Best_first.Make (S)
 
-  type node = { state : S.state; path_rev : S.action list; g : int }
-
-  let search ?(stop = Space.never_stop) ?(telemetry = Telemetry.disabled)
-      ?(budget = Space.default_budget) ?watch ?resume ?snapshot ~heuristic
+  let search ?stop ?telemetry ?budget ?watch ?resume ?snapshot ~heuristic
       root =
-    Space.validate_budget "Greedy.search" budget;
-    let c = Space.counters () in
-    let elapsed = Space.stopwatch () in
-    let finish outcome = Space.finish ~telemetry c elapsed outcome in
-    let frontier = Heap.create () in
-    let seen : unit KT.t = KT.create (max 256 (min budget 8192)) in
-    let observe =
-      match watch with
-      | None -> fun _ -> ()
-      | Some f ->
-          fun node ->
-            f
-              {
-                Space.w_state = node.state;
-                w_path_rev = node.path_rev;
-                w_cost = node.g;
-              }
-    in
-    (* Checkpoint on Budget_exceeded/Cancelled: the node in hand followed
-       by the heap in pop order, plus the seen set (g is not tracked, so
-       closed entries carry 0). *)
-    let capture extra =
-      match snapshot with
-      | None -> ()
-      | Some f ->
-          let rec drain acc =
-            match Heap.pop frontier with
-            | None -> List.rev acc
-            | Some (_, n) -> drain (n :: acc)
-          in
-          let nodes = extra @ drain [] in
-          f
-            {
-              Space.snap_nodes =
-                List.map (fun n -> (List.rev n.path_rev, n.state)) nodes;
-              snap_closed = KT.fold (fun k () acc -> (k, 0) :: acc) seen [];
-              snap_checked = 0;
-            }
-    in
-    (match resume with
-    | None ->
-        KT.replace seen (S.key root) ();
-        Heap.push frontier ~priority:(heuristic root)
-          { state = root; path_rev = []; g = 0 }
-    | Some snap ->
-        (* Seen-set transplant + open nodes re-enqueued in snapshot order:
-           h is deterministic, so the resumed heap pops in exactly the
-           order the interrupted run would have. *)
-        List.iter (fun (k, _) -> KT.replace seen k ()) snap.Space.snap_closed;
-        List.iter
-          (fun (path, state) ->
-            KT.replace seen (S.key state) ();
-            Heap.push frontier ~priority:(heuristic state)
-              { state; path_rev = List.rev path; g = List.length path })
-          snap.Space.snap_nodes);
-    let rec loop () =
-      match Heap.pop frontier with
-      | None -> finish Space.Exhausted
-      | Some (_, node) ->
-          if stop () then begin
-            capture [ node ];
-            finish Space.Cancelled
-          end
-          else if c.examined_c >= budget then begin
-            (* Checked before the tick so the node in hand is captured
-               untested: a resumed run examines it first, and budget B
-               then resume B' examines exactly the states of one B + B'
-               run (no double count at the seam). *)
-            capture [ node ];
-            finish Space.Budget_exceeded
-          end
-          else begin
-            Space.tick_examined telemetry c;
-            if (observe node; S.is_goal node.state) then
-              finish
-                (Space.Found
-                   { path = List.rev node.path_rev; final = node.state; cost = node.g })
-            else begin
-              let succs = S.successors node.state in
-              Space.record_expansion telemetry c
-                ~generated:(List.length succs);
-              List.iter
-                (fun (action, s) ->
-                  let k = S.key s in
-                  if not (KT.mem seen k) then begin
-                    KT.replace seen k ();
-                    Heap.push frontier ~priority:(heuristic s)
-                      { state = s; path_rev = action :: node.path_rev; g = node.g + 1 }
-                  end
-                  else Telemetry.count telemetry Space.Ev.prune_seen 1)
-                succs;
-              Telemetry.gauge telemetry Space.Ev.frontier
-                (float_of_int (Heap.size frontier));
-              loop ()
-            end
-          end
-    in
-    loop ()
+    B.search ~name:"Greedy.search" ~dedup:Seen
+      ~priority:(fun ~g:_ s -> heuristic s)
+      ?stop ?telemetry ?budget ?watch ?resume ?snapshot root
 end

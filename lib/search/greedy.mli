@@ -1,8 +1,8 @@
 (** Greedy best-first search: the frontier is ordered by h alone.
 
     An ablation baseline — fast and memory-hungry, with no cost guarantee.
-    Deduplicates states by canonical key (each state is expanded at most
-    once). *)
+    {!Best_first} keyed on [h] with {!Best_first.Seen} dedup: each state
+    is enqueued, and so expanded, at most once. *)
 
 module Make (S : Space.S) : sig
   val search :
@@ -15,16 +15,9 @@ module Make (S : Space.S) : sig
     heuristic:(S.state -> int) ->
     S.state ->
     (S.state, S.action) Space.result
-  (** [stop] is polled once per examination; when it returns true the
-      search finishes with {!Space.Cancelled}.
-
-      [watch] fires once per goal-tested node (after the budget check,
-      before the goal test) and must not mutate the space. [snapshot]
-      is invoked with a resumable frontier on
-      {!Space.Budget_exceeded}/{!Space.Cancelled}; passing it back as
-      [resume] transplants the seen set and re-enqueues the open nodes
-      in order — h is deterministic, so the resumed run continues in
-      exactly the interrupted run's order. With [resume] the root is
-      ignored.
+  (** [stop], [watch], [snapshot] and [resume] behave as in the
+      sequential {!Best_first.Make.search}: [stop] is polled once per
+      pop, and a budget-exceeded or cancelled run hands back a frontier
+      that [resume] continues in exactly the interrupted run's order.
       @raise Invalid_argument if [budget <= 0]. *)
 end

@@ -1,7 +1,8 @@
-(** Imperative binary min-heap, used as the frontier by A* and greedy
-    best-first search. Entries with equal priority pop in insertion order
-    (a monotone sequence number breaks ties), which keeps the algorithms
-    deterministic. *)
+(** Imperative binary min-heap, the frontier of {!Best_first} (A*,
+    greedy best-first search and BFS). Entries with equal priority pop in
+    insertion order (a monotone sequence number breaks ties), which keeps
+    the algorithms deterministic and makes a heap keyed on depth a FIFO
+    queue. *)
 
 type 'a t
 

@@ -13,7 +13,34 @@
     cache holds at most {!Space.expansion_cache_bound} (4096) successor
     states — for TUPELO's space at most 4096 × [max_state_cells] cells. *)
 
-module Make (S : Space.S) : sig
+(** What distinguishes the members of the IDA* family: the h a node is
+    cut on, and what is remembered when a subtree fails. *)
+module type H_TABLE = sig
+  type state
+  type key
+  type t
+
+  val name : string
+  (** Prefix of the [Invalid_argument] message. *)
+
+  val create : unit -> t
+  (** One table per search, kept across its iterations. *)
+
+  val h : t -> (state -> int) -> state -> int
+  (** [h table heuristic state]: the estimate the bound is checked
+      against. *)
+
+  val backup : t -> key -> int -> unit
+  (** [backup table key h'] — the subtree under [key] failed, and needs
+      at least [h'] more steps; called only when no successor was
+      suppressed by the on-path cycle check. *)
+end
+
+(** The iterative-deepening DFS, parameterised by its h-table. {!Make}
+    instantiates it with none; {!Ida_tt} with a transposition table. *)
+module Deepening
+    (S : Space.S)
+    (_ : H_TABLE with type state := S.state and type key := S.Key.t) : sig
   val search :
     ?stop:(unit -> bool) ->
     ?telemetry:Telemetry.t ->
@@ -29,4 +56,17 @@ module Make (S : Space.S) : sig
       examination; when it returns true the search finishes with
       {!Space.Cancelled}.
       @raise Invalid_argument if [budget <= 0]. *)
+end
+
+(** Plain IDA*: {!Deepening} cutting on the heuristic itself, with no
+    table lookup. *)
+module Make (S : Space.S) : sig
+  val search :
+    ?stop:(unit -> bool) ->
+    ?telemetry:Telemetry.t ->
+    ?budget:int ->
+    ?watch:((S.state, S.action) Space.witness -> unit) ->
+    heuristic:(S.state -> int) ->
+    S.state ->
+    (S.state, S.action) Space.result
 end

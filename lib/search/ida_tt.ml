@@ -1,104 +1,27 @@
-let infinity_cost = max_int
+(* Entries kept before the table is cleared and refilled. *)
+let table_cap = 500_000
 
 module Make (S : Space.S) = struct
   module KT = Hashtbl.Make (S.Key)
-  module Expansions = Space.Expansion_cache (S)
 
-  exception Budget
-  exception Stopped
+  include
+    Ida.Deepening
+      (S)
+      (struct
+        (* improved (backed-up) heuristic values, persisted across
+           iterations *)
+        type t = int KT.t
 
-  type dfs_result = Hit of S.action list * S.state | Cutoff of int
+        let name = "Ida_tt.search"
+        let create () = KT.create 4096
 
-  let search ?(stop = Space.never_stop) ?(telemetry = Telemetry.disabled)
-      ?(budget = Space.default_budget) ?(table_cap = 500_000) ?watch
-      ~heuristic root =
-    Space.validate_budget "Ida_tt.search" budget;
-    let c = Space.counters () in
-    c.iterations_c <- 0;
-    let elapsed = Space.stopwatch () in
-    let finish outcome = Space.finish ~telemetry c elapsed outcome in
-    let observe state path_rev g =
-      match watch with
-      | None -> ()
-      | Some f ->
-          f { Space.w_state = state; w_path_rev = path_rev; w_cost = g }
-    in
-    let on_path : unit KT.t = KT.create 64 in
-    let expansions = Expansions.create () in
-    (* improved (backed-up) heuristic values, persisted across iterations *)
-    let improved : int KT.t = KT.create 4096 in
-    let h_eff key state =
-      match KT.find_opt improved key with
-      | Some h' -> max h' (heuristic state)
-      | None -> heuristic state
-    in
-    let remember key h' =
-      if KT.length improved >= table_cap then KT.reset improved;
-      KT.replace improved key h'
-    in
-    let rec dfs state path_rev g bound =
-      let key = S.key state in
-      let f = g + h_eff key state in
-      if f > bound then Cutoff f
-      else begin
-        if stop () then raise Stopped;
-        Space.tick_examined telemetry c;
-        if c.examined_c > budget then raise Budget;
-        observe state path_rev g;
-        if S.is_goal state then Hit ([], state)
-        else begin
-          let succs = Expansions.successors telemetry expansions key state in
-          Space.record_expansion telemetry c ~generated:(List.length succs);
-          KT.add on_path key ();
-          let best_cutoff = ref infinity_cost in
-          (* A backed-up cutoff is only a context-free lower bound when no
-             successor was suppressed by the on-path cycle check — a
-             suppressed successor might be available when the state is
-             reached along a different path. *)
-          let pruned_by_cycle = ref false in
-          let rec try_succs = function
-            | [] -> Cutoff !best_cutoff
-            | (action, s) :: rest ->
-                if KT.mem on_path (S.key s) then begin
-                  pruned_by_cycle := true;
-                  Telemetry.count telemetry Space.Ev.prune_cycle 1;
-                  try_succs rest
-                end
-                else begin
-                  match dfs s (action :: path_rev) (g + 1) bound with
-                  | Hit (path, final) -> Hit (action :: path, final)
-                  | Cutoff fmin ->
-                      if fmin < !best_cutoff then best_cutoff := fmin;
-                      try_succs rest
-                end
-          in
-          let result = try_succs succs in
-          KT.remove on_path key;
-          (match result with
-          | Cutoff fmin when not !pruned_by_cycle ->
-              (* The subtree needs at least fmin; record it as an improved
-                 heuristic for this state. *)
-              remember key
-                (if fmin >= infinity_cost then infinity_cost / 2
-                 else fmin - g)
-          | Cutoff _ | Hit _ -> ());
-          result
-        end
-      end
-    in
-    let rec iterate bound =
-      Space.tick_iteration telemetry c;
-      Telemetry.gauge telemetry Space.Ev.bound (float_of_int bound);
-      KT.reset on_path;
-      match dfs root [] 0 bound with
-      | Hit (path, final) ->
-          finish (Space.Found { path; final; cost = List.length path })
-      | Cutoff next ->
-          if next >= infinity_cost / 2 || next <= bound then
-            finish Space.Exhausted
-          else iterate next
-    in
-    try iterate (heuristic root) with
-    | Budget -> finish Space.Budget_exceeded
-    | Stopped -> finish Space.Cancelled
+        let h table heuristic state =
+          match KT.find_opt table (S.key state) with
+          | Some h' -> max h' (heuristic state)
+          | None -> heuristic state
+
+        let backup table key h' =
+          if KT.length table >= table_cap then KT.reset table;
+          KT.replace table key h'
+      end)
 end

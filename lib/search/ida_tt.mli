@@ -17,6 +17,8 @@
     first expansion from a per-search {!Space.Expansion_cache}, bounded
     at {!Space.expansion_cache_bound} (4096) successor states — for
     TUPELO's space at most 4096 × [max_state_cells] cells on top of the
+    table. The table holds at most 500_000 entries; it is cleared when
+    full. Both are {!Ida.Deepening}, this one instantiated with the
     table. *)
 
 module Make (S : Space.S) : sig
@@ -24,14 +26,10 @@ module Make (S : Space.S) : sig
     ?stop:(unit -> bool) ->
     ?telemetry:Telemetry.t ->
     ?budget:int ->
-    ?table_cap:int ->
     ?watch:((S.state, S.action) Space.witness -> unit) ->
     heuristic:(S.state -> int) ->
     S.state ->
     (S.state, S.action) Space.result
-  (** [table_cap] bounds the number of stored entries (default 500_000);
-      the table is cleared when the cap is reached. [stop] is polled once
-      per examination; when it returns true the search finishes with
-      {!Space.Cancelled}.
+  (** As {!Ida.Deepening}'s [search].
       @raise Invalid_argument if [budget <= 0]. *)
 end

@@ -192,15 +192,6 @@ let test_beam_incomplete () =
       ()
   | _ -> Alcotest.fail "expected exhaustion or a lucky path"
 
-let test_bfs_reachable () =
-  let depths = Grid_bfs.reachable ~max_depth:2 (0, 0) in
-  Alcotest.(check (option int)) "root depth" (Some 0)
-    (Grid_bfs.Keys.find_opt depths "0,0");
-  Alcotest.(check (option int)) "diagonal depth" (Some 2)
-    (Grid_bfs.Keys.find_opt depths "1,1");
-  Alcotest.(check (option int)) "beyond max_depth absent" None
-    (Grid_bfs.Keys.find_opt depths "3,0")
-
 let test_degenerate_parameters () =
   (* budget <= 0 and width <= 0 are programming errors, not "search the
      empty space": all seven algorithms must refuse them loudly instead
@@ -219,8 +210,6 @@ let test_degenerate_parameters () =
       Grid_rbfs.search ~budget:0 ~heuristic:zero (0, 0));
   raises "A* budget 0" (fun () ->
       Grid_astar.search ~budget:0 ~heuristic:zero (0, 0));
-  raises "A* batch 0" (fun () ->
-      Grid_astar.search ~batch:0 ~heuristic:zero (0, 0));
   raises "Greedy budget 0" (fun () ->
       Grid_greedy.search ~budget:0 ~heuristic:zero (0, 0));
   raises "Beam budget 0" (fun () ->
@@ -229,11 +218,7 @@ let test_degenerate_parameters () =
       Grid_beam.search ~width:0 ~heuristic:zero (0, 0));
   raises "Beam width -3" (fun () ->
       Grid_beam.search ~width:(-3) ~heuristic:zero (0, 0));
-  raises "BFS budget 0" (fun () -> Grid_bfs.search ~budget:0 (0, 0));
-  Alcotest.(check bool) "BFS reachable budget 0" true
-    (match Grid_bfs.reachable ~budget:0 (0, 0) with
-    | exception Invalid_argument _ -> true
-    | (_ : int Grid_bfs.Keys.t) -> false)
+  raises "BFS budget 0" (fun () -> Grid_bfs.search ~budget:0 (0, 0))
 
 let test_elapsed_non_negative () =
   let r = Grid_astar.search ~heuristic:manhattan (0, 0) in
@@ -467,7 +452,6 @@ let suite =
     Alcotest.test_case "budget respected" `Quick test_budget_respected;
     Alcotest.test_case "goal at root" `Quick test_goal_at_root;
     Alcotest.test_case "beam incompleteness" `Quick test_beam_incomplete;
-    Alcotest.test_case "bfs reachable depths" `Quick test_bfs_reachable;
     Alcotest.test_case "degenerate parameters rejected" `Quick test_degenerate_parameters;
     Alcotest.test_case "elapsed time non-negative" `Quick test_elapsed_non_negative;
     Alcotest.test_case "heap ordering" `Quick test_heap;

@@ -684,6 +684,113 @@ let test_expansion_cache_pins () =
          "deref[Cost<-*Route](Prices)";
        ])
 
+(* A*, greedy and BFS share one best-first loop; the states each engine
+   examines, generates and expands, and the program it returns, are
+   pinned on the tasks of the ablation bench's algorithm comparison
+   (h1, budget 200 000). Pooled A* (jobs 2) must keep the optimal cost. *)
+let test_best_first_pins () =
+  let flights_b_a = (Workloads.Flights.b, Workloads.Flights.a) in
+  let flights_a_b = (Workloads.Flights.a, Workloads.Flights.b) in
+  let inventory_4 = Workloads.Inventory.task 4 in
+  let tasks =
+    [
+      ("synthetic n=6", Workloads.Synthetic.matching_pair 6,
+       Fira.Semfun.empty_registry);
+      ("flights B->A", flights_b_a, Workloads.Flights.registry);
+      ("flights A->B", flights_a_b, Workloads.Flights.registry);
+      ("inventory k=4",
+       (inventory_4.Workloads.Inventory.source,
+        inventory_4.Workloads.Inventory.target),
+       inventory_4.Workloads.Inventory.registry);
+    ]
+  in
+  let run ?(jobs = 1) algorithm (source, target) registry =
+    let config =
+      D.config ~algorithm ~heuristic:Heuristics.Heuristic.h1 ~budget:200_000
+        ~jobs ()
+    in
+    match D.discover ~registry config ~source ~target with
+    | D.Mapping m -> m
+    | _ -> Alcotest.fail "best-first: no mapping"
+  in
+  let lines = String.concat "\n" in
+  let renames_6 =
+    lines
+      (List.init 6 (fun i ->
+           Printf.sprintf "rename_att[A%02d->B%02d](R)" (i + 1) (i + 1)))
+  in
+  let b_a =
+    lines
+      [
+        "promote[Route/Cost](Prices)"; "rename_att[AgentFee->Fee](Prices)";
+        "rename_rel[Prices->Flights]"; "drop[Route](Flights)";
+        "drop[Cost](Flights)"; "merge[Carrier](Flights)";
+      ]
+  in
+  let a_b =
+    lines
+      [
+        "demote[ATT,REL](Flights)"; "rename_att[Fee->AgentFee](Flights)";
+        "rename_att[ATT->Route](Flights)"; "rename_rel[Flights->Prices]";
+        "deref[Cost<-*Route](Prices)";
+      ]
+  in
+  let inventory =
+    lines
+      [
+        "apply[discounted_price(unit_price,discount)->discounted_price](Inventory)";
+        "apply[full_name(brand,model)->full_name](Inventory)";
+        "apply[margin(sale_price,cost)->margin](Inventory)";
+        "apply[total_value(unit_price,quantity)->total_value](Inventory)";
+      ]
+  in
+  let pin algorithm expected =
+    List.iter2
+      (fun (label, pair, registry) (examined, generated, expanded, program) ->
+        let m = run algorithm pair registry in
+        let name = D.algorithm_name algorithm ^ " " ^ label in
+        let s = m.Tupelo.Mapping.stats in
+        Alcotest.(check int) (name ^ " examined") examined s.Search.Space.examined;
+        Alcotest.(check int) (name ^ " generated") generated
+          s.Search.Space.generated;
+        Alcotest.(check int) (name ^ " expanded") expanded s.Search.Space.expanded;
+        Alcotest.(check string) (name ^ " program") program
+          (Fira.Expr.to_string m.Tupelo.Mapping.expr))
+      tasks expected
+  in
+  pin D.Astar
+    [
+      (79, 222, 78, renames_6); (183, 672, 182, b_a); (103, 404, 102, a_b);
+      (5, 11, 4, inventory);
+    ];
+  pin D.Greedy
+    [
+      (8, 23, 7, renames_6); (19, 72, 18, b_a); (30, 94, 29, a_b);
+      (5, 11, 4, inventory);
+    ];
+  pin D.Bfs
+    [
+      (79, 222, 78, renames_6);
+      ( 373, 1156, 372,
+        lines
+          [
+            "rename_att[AgentFee->Fee](Prices)"; "rename_rel[Prices->Flights]";
+            "promote[Route/Cost](Flights)"; "drop[Route](Flights)";
+            "drop[Cost](Flights)"; "merge[Carrier](Flights)";
+          ] );
+      ( 268, 991, 267,
+        lines
+          [
+            "rename_att[Fee->AgentFee](Flights)"; "rename_rel[Flights->Prices]";
+            "demote[ATT,REL](Prices)"; "rename_att[ATT->Route](Prices)";
+            "deref[Cost<-*Route](Prices)";
+          ] );
+      (22, 44, 21, inventory);
+    ];
+  let pooled = run ~jobs:2 D.Astar flights_b_a Workloads.Flights.registry in
+  Alcotest.(check int) "pooled A* flights B->A cost" 6
+    (Tupelo.Mapping.length pooled)
+
 let suite =
   [
     Alcotest.test_case "goal modes" `Quick test_goal_modes;
@@ -723,4 +830,6 @@ let suite =
     Alcotest.test_case "config defaults" `Quick test_config_defaults;
     Alcotest.test_case "expansion cache: pinned discover-mix tails" `Quick
       test_expansion_cache_pins;
+    Alcotest.test_case "best-first: pinned A*, greedy and BFS counts" `Quick
+      test_best_first_pins;
   ]
